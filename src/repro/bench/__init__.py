@@ -1,4 +1,10 @@
-"""Benchmark harness shared by the ``benchmarks/`` suite."""
+"""Benchmark harness shared by the ``benchmarks/`` suite.
+
+The paper-figure reproductions under ``benchmarks/`` use the workbench,
+timing and rendering helpers re-exported here; :mod:`repro.bench.validate`
+checks the committed ``BENCH_*.json`` documents.  Performance of the
+system itself is measured by ``perfbench/`` (``python3 perfbench/run.py``).
+"""
 
 from repro.bench.experiments import (
     ALGOS,
@@ -10,11 +16,6 @@ from repro.bench.experiments import (
     run_algorithm,
 )
 from repro.bench.figures import print_bars, render_bars
-from repro.bench.serving import (
-    default_workload,
-    print_serving_report,
-    serving_benchmark,
-)
 from repro.bench.harness import (
     DEFAULT_COST_MODEL,
     AlgoRun,
@@ -46,7 +47,4 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "render_bars",
     "print_bars",
-    "serving_benchmark",
-    "print_serving_report",
-    "default_workload",
 ]

@@ -180,19 +180,29 @@ class OnDemandStore:
         so the fully-loaded algorithms (Topk, DP-B, brute force) run over
         this store unchanged: one backward search per qualifying head node
         supplies the triples, and ``direct_only`` keeps only closure edges
-        that are also data-graph edges (``/`` axis).
+        that are also data-graph edges (``/`` axis).  Each head's run is
+        metered block by block as it streams, like the materialized
+        store's ``L`` groups.
         """
         self.counter.record_open()
+        record_read = self.counter.record_read
+        block_size = self.directory.block_size
         resolve = self._interner.resolve
         has_edge = self._compact.has_edge
         for head_id in self._heads_with_label(head_label):
             sources, dists, lo, hi = self._incoming_slice(head_id, tail_label)
+            if lo == hi:
+                continue
             head = resolve(head_id)
-            for k in range(lo, hi):
-                source_id = sources[k]
-                if direct_only and not has_edge(source_id, head_id):
-                    continue
-                yield resolve(source_id), head, dists[k]
+            name = f"od-L/{tail_label!r}/{head!r}"
+            for start in range(lo, hi, block_size):
+                stop = min(start + block_size, hi)
+                record_read(name, stop - start)
+                for k in range(start, stop):
+                    source_id = sources[k]
+                    if direct_only and not has_edge(source_id, head_id):
+                        continue
+                    yield resolve(source_id), head, dists[k]
 
     def read_e_table(
         self, tail_label: Label | None, head_label: Label | None

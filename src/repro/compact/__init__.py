@@ -14,13 +14,8 @@ Layering: ``repro.compact`` sits directly above ``repro.graph`` and
 below ``repro.closure``.  It must never import from the closure,
 storage, engine, or service layers (enforced by the CI ruff check and
 ``tests/compact/test_layering.py``).
-
-Optional acceleration: setting ``REPRO_COMPACT_NUMPY=1`` lets the
-builders use numpy for bulk index collection when numpy is installed;
-the pure-stdlib paths remain the default and numpy is never required.
 """
 
-from repro.compact.accel import numpy_enabled, numpy_or_none
 from repro.compact.csr import CompactGraph
 from repro.compact.interner import NodeInterner
 from repro.compact.rows import ClosureRows, buffer_bytes
@@ -33,6 +28,4 @@ __all__ = [
     "SpanView",
     "buffer_bytes",
     "forward_closure",
-    "numpy_enabled",
-    "numpy_or_none",
 ]

@@ -20,7 +20,6 @@ from bisect import bisect_left
 from collections import deque
 from typing import Iterator
 
-from repro.compact.accel import numpy_or_none
 from repro.compact.interner import NodeInterner
 from repro.graph.digraph import LabeledDiGraph
 
@@ -167,6 +166,9 @@ class CompactGraph:
         dist = array("d", bytes(8 * n))  # zero-filled; 0.0 marks "unreached"
         # A distance of 0.0 can never be legitimate (weights are positive
         # and only non-empty paths count), so 0.0 doubles as the sentinel.
+        # Reached ids are recorded as they settle, so collecting the row
+        # costs O(reach log reach), never a scan of the n-length buffer.
+        reached: list[int] = []
         if self.unit_weighted:
             frontier: deque[tuple[int, float]] = deque()
             for k in range(offsets[origin], offsets[origin + 1]):
@@ -176,6 +178,7 @@ class CompactGraph:
                 if dist[node] != 0.0:
                     continue
                 dist[node] = d
+                reached.append(node)
                 for k in range(offsets[node], offsets[node + 1]):
                     nxt = targets[k]
                     if dist[nxt] == 0.0:
@@ -191,26 +194,10 @@ class CompactGraph:
                 if dist[node] != 0.0:
                     continue
                 dist[node] = d
+                reached.append(node)
                 for k in range(offsets[node], offsets[node + 1]):
                     nxt = targets[k]
                     if dist[nxt] == 0.0:
                         heapq.heappush(heap, (d + weights[k], nxt))
-        return self._collect(dist)
-
-    @staticmethod
-    def _collect(dist: array) -> tuple[array, array]:
-        """Turn a dense distance buffer into (targets, dists) arrays."""
-        np = numpy_or_none()
-        if np is not None:
-            vec = np.frombuffer(dist, dtype=np.float64)
-            reached = np.flatnonzero(vec != 0.0)
-            out_targets = array("i", reached.astype(np.int32).tolist())
-            out_dists = array("d", vec[reached].tolist())
-            return out_targets, out_dists
-        out_targets = array("i")
-        out_dists = array("d")
-        for node, d in enumerate(dist):
-            if d != 0.0:
-                out_targets.append(node)
-                out_dists.append(d)
-        return out_targets, out_dists
+        reached.sort()
+        return array("i", reached), array("d", [dist[node] for node in reached])

@@ -8,9 +8,8 @@ scan/probe/accumulate ops against a closure store into a
 interpreter-exact Lawler enumerations (:class:`KernelRun`).
 
 The planner selects the tier (``QueryPlan.tier == "compiled"``); the
-``REPRO_KERNEL`` environment variable is the kill switch and
-``REPRO_COMPACT_NUMPY`` (or an explicit ``use_numpy``) selects the
-vectorized bind path.  See DESIGN.md, "Compiled kernel tier".
+``REPRO_KERNEL`` environment variable is the kill switch.  See
+DESIGN.md, "Compiled kernel tier".
 """
 
 from repro.kernel.executor import BoundProgram, KernelRun, bind_program

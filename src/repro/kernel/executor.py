@@ -29,12 +29,6 @@ same assignments, same scores, same order, including tie order — as
 * All float arithmetic replays the interpreter's operation sequence:
   ``bs[child] + dist`` per row, per-child ``+=`` of group minimums in
   children order, incremental ``score + (next - prev)`` deltas.
-
-The numpy batch path (``use_numpy=True`` or the ``REPRO_COMPACT_NUMPY``
-flag) vectorizes the bind — many candidate rows per opcode at once via
-:func:`repro.compact.accel.lower_slots` — and converts the results to
-the same stdlib arrays, so enumeration code is shared and the two paths
-are bit-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ import time
 from array import array
 from typing import Iterator
 
-from repro.compact import accel
 from repro.core.matches import EnumerationStats, Match
 from repro.exceptions import MatchingError
 from repro.kernel.program import KernelProgram
@@ -62,22 +55,18 @@ def bind_program(
     *,
     matcher,
     node_weight=None,
-    use_numpy: bool | None = None,
 ) -> "BoundProgram":
     """Execute the program's scan/probe/accumulate ops against ``store``.
 
     ``matcher`` is the label matcher of the compiled query
     (``compiled.effective_matcher(config.label_matcher)``);
-    ``node_weight`` the optional per-node weight callable;
-    ``use_numpy`` overrides the ``REPRO_COMPACT_NUMPY`` flag (see
-    :func:`repro.compact.accel.resolve_numpy`).
+    ``node_weight`` the optional per-node weight callable.
 
     The bound result is store-snapshot-specific but reusable: every
     :meth:`BoundProgram.run` call starts an independent enumeration over
     the same frozen arrays, which is what makes warm repeated serving
     queries cheap.
     """
-    np = accel.resolve_numpy(use_numpy)
     started = time.perf_counter()
     graph = store.graph
     alphabet = graph.labels()
@@ -146,7 +135,7 @@ def bind_program(
             )
         )
 
-    # ACCUM: bottom-up bs totals + per-edge slot CSR, scalar or numpy.
+    # ACCUM: bottom-up bs totals + per-edge slot CSR.
     num_edges = len(program.edge_specs)
     bs: list[list[float]] = [None] * n  # type: ignore[list-item]
     alive: list[list[bool]] = [None] * n  # type: ignore[list-item]
@@ -160,63 +149,44 @@ def bind_program(
             bs[pos] = list(weights[pos])
             alive[pos] = [True] * num_cands
             continue
-        if np is not None:
-            totals = np.asarray(weights[pos], dtype=np.float64)
-            for e, child_pos in kids:
-                parents_col, children_col, dists_col = edge_cols[e]
-                offsets, keys, childs, mins = accel.lower_slots(
-                    np,
-                    parents_col,
-                    children_col,
-                    dists_col,
-                    bs[child_pos],
-                    alive[child_pos],
-                    reprs[child_pos],
-                    num_cands,
-                )
-                slot_off[e] = array("q", offsets.tolist())
-                slot_keys[e] = array("d", keys.tolist())
-                slot_child[e] = array("q", childs.tolist())
-                totals = totals + mins
-        else:
-            totals = list(weights[pos])
-            for e, child_pos in kids:
-                parents_col, children_col, dists_col = edge_cols[e]
-                alive_child = alive[child_pos]
-                bs_child = bs[child_pos]
-                reprs_child = reprs[child_pos]
-                groups: list[list] = [[] for _ in range(num_cands)]
-                for row in range(len(parents_col)):
-                    child = children_col[row]
-                    if alive_child[child]:
-                        groups[parents_col[row]].append(
-                            (
-                                bs_child[child] + dists_col[row],
-                                reprs_child[child],
-                                child,
-                            )
+        totals = list(weights[pos])
+        for e, child_pos in kids:
+            parents_col, children_col, dists_col = edge_cols[e]
+            alive_child = alive[child_pos]
+            bs_child = bs[child_pos]
+            reprs_child = reprs[child_pos]
+            groups: list[list] = [[] for _ in range(num_cands)]
+            for row in range(len(parents_col)):
+                child = children_col[row]
+                if alive_child[child]:
+                    groups[parents_col[row]].append(
+                        (
+                            bs_child[child] + dists_col[row],
+                            reprs_child[child],
+                            child,
                         )
-                offsets = array("q", [0] * (num_cands + 1))
-                keys = array("d")
-                childs = array("q")
-                filled = 0
-                for cand in range(num_cands):
-                    group = groups[cand]
-                    if group:
-                        group.sort()
-                        totals[cand] += group[0][0]
-                        for key, _rep, child in group:
-                            keys.append(key)
-                            childs.append(child)
-                        filled += len(group)
-                    else:
-                        totals[cand] = _INF
-                    offsets[cand + 1] = filled
-                slot_off[e] = offsets
-                slot_keys[e] = keys
-                slot_child[e] = childs
-        bs[pos] = [float(t) for t in totals]
-        alive[pos] = [t < _INF for t in bs[pos]]
+                    )
+            offsets = array("q", [0] * (num_cands + 1))
+            keys = array("d")
+            childs = array("q")
+            filled = 0
+            for cand in range(num_cands):
+                group = groups[cand]
+                if group:
+                    group.sort()
+                    totals[cand] += group[0][0]
+                    for key, _rep, child in group:
+                        keys.append(key)
+                        childs.append(child)
+                    filled += len(group)
+                else:
+                    totals[cand] = _INF
+                offsets[cand + 1] = filled
+            slot_off[e] = offsets
+            slot_keys[e] = keys
+            slot_child[e] = childs
+        bs[pos] = totals
+        alive[pos] = [t < _INF for t in totals]
 
     # ROOTS: the root slot, sorted by (bs, repr((root, node))).
     root_entries = sorted(
@@ -236,7 +206,6 @@ def bind_program(
         slot_child=slot_child,
         root_keys=root_keys,
         root_cand=root_cand,
-        mode="numpy" if np is not None else "scalar",
         bind_seconds=time.perf_counter() - started,
     )
     return bound
@@ -255,7 +224,6 @@ class BoundProgram:
         "slot_child",
         "root_keys",
         "root_cand",
-        "mode",
         "bind_seconds",
     )
 
@@ -270,7 +238,6 @@ class BoundProgram:
         slot_child,
         root_keys,
         root_cand,
-        mode: str,
         bind_seconds: float,
     ) -> None:
         self.program = program
@@ -282,7 +249,6 @@ class BoundProgram:
         self.slot_child = slot_child
         self.root_keys = root_keys
         self.root_cand = root_cand
-        self.mode = mode
         self.bind_seconds = bind_seconds
 
     def top1_score(self) -> float | None:
@@ -349,7 +315,6 @@ class KernelRun:
         self._b = bound
         self.stats = EnumerationStats(init_seconds=bound.bind_seconds)
         self.stats.extra["tier"] = "compiled"
-        self.stats.extra["bind_mode"] = bound.mode
         self._queue: list = []
         self._counter = itertools.count()
         self._started = False

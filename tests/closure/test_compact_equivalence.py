@@ -3,11 +3,9 @@
 The array-backed :class:`TransitiveClosure` must produce *identical*
 distance maps to the straightforward dict-of-dicts construction it
 replaced, on random unit-weight and weighted graphs from the shared
-strategies — plus agree when the optional numpy acceleration path is
-switched on.
+strategies.
 """
 
-import pytest
 from hypothesis import given, settings
 
 from repro.closure.transitive import TransitiveClosure
@@ -47,22 +45,6 @@ class TestEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_weighted_graphs(self, g):
         assert_equivalent(g)
-
-    @given(graphs(min_nodes=2, max_nodes=12, max_edges=30))
-    @settings(max_examples=20, deadline=None)
-    def test_numpy_path_is_bit_identical(self, g):
-        pytest.importorskip("numpy")
-        from repro.compact import accel
-
-        plain = TransitiveClosure(g)
-        patcher = pytest.MonkeyPatch()
-        try:
-            patcher.setenv("REPRO_COMPACT_NUMPY", "1")
-            patcher.setattr(accel, "_cache", [])
-            accelerated = TransitiveClosure(g)
-        finally:
-            patcher.undo()
-        assert sorted(plain.pairs()) == sorted(accelerated.pairs())
 
     @given(graphs(min_nodes=2, max_nodes=14, max_edges=35))
     @settings(max_examples=30, deadline=None)

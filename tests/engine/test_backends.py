@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import BACKENDS, MatchEngine
 from repro.engine.config import ALGORITHMS
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query import QueryTree
+from tests.strategies import DEFAULT_ALPHABET, FUZZ_EXAMPLES, graphs
 
 
 def _random_case(seed: int):
@@ -166,3 +169,34 @@ class TestRefreshHooks:
         )
         assert refresh.affected_labels is None
         assert refresh.rows_recomputed == updated.num_nodes
+
+
+class TestPairTableMeter:
+    """Every entry ``read_pair_table`` yields is metered as read.
+
+    The fully-loaded paths (Topk, DP-B, brute force, the compiled bind)
+    read whole ``L^alpha_beta`` tables through this call, so a backend
+    that streams triples without metering them reports free loads.
+    """
+
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    @given(
+        graph=graphs(),
+        tail_label=st.sampled_from(DEFAULT_ALPHABET + (None,)),
+        head_label=st.sampled_from(DEFAULT_ALPHABET + (None,)),
+        block_size=st.sampled_from([1, 2, 64]),
+    )
+    def test_entries_read_equals_entries_yielded(
+        self, graph, tail_label, head_label, block_size
+    ):
+        workload = (QueryTree({0: "A", 1: "B"}, [(0, 1)]),)
+        for backend in BACKENDS:
+            extra = {"workload": workload} if backend == "constrained" else {}
+            store = MatchEngine(
+                graph, backend=backend, block_size=block_size, **extra
+            ).store
+            before = store.counter.snapshot()
+            triples = list(store.read_pair_table(tail_label, head_label))
+            delta = store.counter.delta_since(before)
+            assert delta.entries_read == len(triples), backend
+            assert delta.blocks_read >= -(-len(triples) // block_size), backend

@@ -9,6 +9,8 @@ generation the next cold start boots from directly.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.delta import CompactionPolicy, scan_wal
@@ -257,3 +259,30 @@ class TestCloseReportsCompactorStop:
         )
         service.apply_updates(edges_added=[(0, 1, 1)])
         assert service.close() is True
+
+
+def test_delta_apply_beats_whole_snapshot_rebuild():
+    """Logging a delta batch must be >= 5x cheaper than rebuilding the
+    snapshot per batch (in practice it is orders of magnitude)."""
+    graph = citation_graph(120, num_labels=8, seed=0)
+    nodes = sorted(graph.nodes(), key=repr)
+    edges = [
+        (tail, head) for tail in nodes[:4] for head in nodes[-2:]
+        if tail != head and not graph.has_edge(tail, head)
+    ][:6]
+    assert len(edges) >= 3
+    with MatchService(
+        graph, backend="full", update_policy="delta", auto_compact=False
+    ) as service:
+        started = time.perf_counter()
+        for edge in edges:
+            service.apply_updates(edges_added=[edge])
+        delta = (time.perf_counter() - started) / len(edges)
+        service.top_k(QUERY, 5)  # the first read folds the overlay
+    rebuilt = graph.copy()
+    started = time.perf_counter()
+    for edge in edges[:3]:
+        rebuilt.add_edge(*edge)
+        MatchEngine(rebuilt, backend="full")
+    rebuild = (time.perf_counter() - started) / 3
+    assert rebuild / delta >= 5.0, (rebuild, delta)

@@ -11,8 +11,8 @@ Property-based cross-checks over randomly generated graphs and queries
   what a direct :class:`repro.engine.MatchEngine` returns, on both the
   cold and the warm cache path;
 * the compiled kernel tier (:mod:`repro.kernel`) replays the reference
-  enumeration byte-for-byte — scalar and numpy binds, plain / wildcard /
-  containment / weighted queries, every backend — and a kernel-enabled
+  enumeration byte-for-byte — plain / wildcard / containment /
+  weighted queries, every backend — and a kernel-enabled
   engine answers exactly like one with ``REPRO_KERNEL=0``.
 
 Tie handling: algorithms may legitimately differ in *which* boundary-
@@ -459,13 +459,6 @@ def test_replicated_sharded_service_interleaving_matches_flat(
 # ----------------------------------------------------------------------
 
 
-def _kernel_bind_modes():
-    """Scalar always; the numpy bind only where numpy is importable."""
-    from repro.compact import accel
-
-    return (False, True) if accel.resolve_numpy(True) is not None else (False,)
-
-
 @given(
     instance=graph_and_query(max_query_size=4, wildcards=True),
     k=st.integers(1, 10),
@@ -476,8 +469,8 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
 
     The kernel replays the reference enumeration over flat arrays, so
     scores, assignments, and order must all be identical — on every
-    backend, for the scalar and the numpy bind alike (plain and
-    wildcard queries; ``/`` axes included by the strategy).
+    backend (plain and wildcard queries; ``/`` axes included by the
+    strategy).
     """
     from repro.kernel import bind_program, compile_program
 
@@ -490,13 +483,8 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
         )
         program = compile_program(compiled)
         matcher = compiled.effective_matcher(engine.config.label_matcher)
-        for use_numpy in _kernel_bind_modes():
-            bound = bind_program(
-                program, engine.store, matcher=matcher, use_numpy=use_numpy
-            )
-            assert exact(bound.run().top_k(k)) == reference, (
-                backend, use_numpy,
-            )
+        bound = bind_program(program, engine.store, matcher=matcher)
+        assert exact(bound.run().top_k(k)) == reference, backend
 
 
 @given(
@@ -507,7 +495,7 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
 @fuzz_settings
 def test_compiled_kernel_containment_weighted_bit_identical(instance, k, data):
     """Containment queries (``~A//~B`` family) on weighted graphs:
-    kernel == reference interpreter byte-for-byte, both bind modes."""
+    kernel == reference interpreter byte-for-byte."""
     from repro.kernel import bind_program, compile_program
 
     graph, _ = instance
@@ -522,13 +510,8 @@ def test_compiled_kernel_containment_weighted_bit_identical(instance, k, data):
         )
         program = compile_program(compiled)
         matcher = compiled.effective_matcher(engine.config.label_matcher)
-        for use_numpy in _kernel_bind_modes():
-            bound = bind_program(
-                program, engine.store, matcher=matcher, use_numpy=use_numpy
-            )
-            assert exact(bound.run().top_k(k)) == reference, (
-                backend, use_numpy,
-            )
+        bound = bind_program(program, engine.store, matcher=matcher)
+        assert exact(bound.run().top_k(k)) == reference, backend
 
 
 @given(
